@@ -19,7 +19,6 @@ import (
 	"nfp/internal/cluster"
 	"nfp/internal/core"
 	"nfp/internal/dataplane"
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
@@ -294,8 +293,8 @@ func benchNFPGraphShards(b *testing.B, g graph.Node, shards int, payload string)
 			b.Fatal("could not find flows for every shard")
 		}
 		sp := benchSpec(i, payload)
-		sid := srv.ShardOfKey(flow.Key{
-			SrcIP: sp.SrcIP, DstIP: sp.DstIP, Proto: sp.Proto,
+		sid := srv.ShardOfKey(packet.FlowKey{
+			Src: sp.SrcIP.As4(), Dst: sp.DstIP.As4(), Proto: sp.Proto,
 			SrcPort: sp.SrcPort, DstPort: sp.DstPort,
 		})
 		if len(idxOf[sid]) < flowsPerShard {

@@ -3,7 +3,8 @@
 # Mirrors .github/workflows/ci.yml so the gate is reproducible locally.
 #
 #   ./ci.sh        — the blocking gate (build + vet + race tests, plus
-#                    staticcheck when it is on PATH)
+#                    staticcheck when it is on PATH, then vet + tests of
+#                    the dpbench benchmark module)
 #   ./ci.sh bench  — the non-blocking burst-regression job: runs the
 #                    Burst1/Burst32 benchmark pairs with -benchmem and
 #                    writes BENCH_burst.json for artifact upload.
@@ -536,3 +537,6 @@ if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 fi
 go test -race ./...
+# dpbench/ is its own Go module (it replaces nfp with ../), so the
+# commands above never compile it, yet it builds against internal APIs.
+(cd dpbench && go vet ./... && go test ./...)

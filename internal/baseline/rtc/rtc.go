@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nfp/internal/flow"
 	"nfp/internal/mempool"
 	"nfp/internal/nf"
 	"nfp/internal/packet"
@@ -155,7 +154,7 @@ func (s *Server) run(r *replica) {
 func (s *Server) Inject(pkt *packet.Packet) {
 	idx := 0
 	if len(s.replicas) > 1 {
-		if k, err := flow.FromPacket(pkt); err == nil {
+		if k, err := pkt.FlowKey(); err == nil {
 			idx = int(k.Hash() % uint64(len(s.replicas)))
 		}
 	}

@@ -6,13 +6,15 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nfp/internal/flow"
 	"nfp/internal/packet"
 	"nfp/internal/telemetry"
 )
 
 // Match is one Classification Table match field set (§5.1). Zero-value
-// fields are wildcards; prefixes must be valid when set.
+// fields are wildcards. The dataplane is IPv4-only: an IPv6 or
+// IPv4-mapped IPv6 prefix matches nothing (ParseMatch rejects both).
+// A rule's match is compiled to packed FlowKey form once, when the
+// rule is installed.
 type Match struct {
 	SrcPrefix netip.Prefix // zero = any
 	DstPrefix netip.Prefix // zero = any
@@ -21,30 +23,14 @@ type Match struct {
 	Proto     uint8        // 0 = any
 }
 
-// Covers reports whether the match covers a flow key.
-func (m Match) Covers(k flow.Key) bool {
-	if m.SrcPrefix.IsValid() && !m.SrcPrefix.Contains(k.SrcIP) {
-		return false
-	}
-	if m.DstPrefix.IsValid() && !m.DstPrefix.Contains(k.DstIP) {
-		return false
-	}
-	if m.SrcPort != 0 && m.SrcPort != k.SrcPort {
-		return false
-	}
-	if m.DstPort != 0 && m.DstPort != k.DstPort {
-		return false
-	}
-	if m.Proto != 0 && m.Proto != k.Proto {
-		return false
-	}
-	return true
-}
+// Covers reports whether the match covers a flow key. It compiles the
+// match on every call: the classifier does not use it (it walks rules
+// compiled at install), but it is the public check of one Match on its
+// own, which the rule-semantics tests rely on.
+func (m Match) Covers(k packet.FlowKey) bool { return m.compile().Matches(k) }
 
-// classRule binds a match to a service graph.
-type classRule struct {
-	match Match
-	mid   uint32
+func (m Match) compile() packet.FlowMatch {
+	return packet.NewFlowMatch(m.SrcPrefix, m.DstPrefix, m.SrcPort, m.DstPort, m.Proto)
 }
 
 // Classifier implements §5.1: it takes an incoming packet, finds the
@@ -173,10 +159,10 @@ func (c *Classifier) bindFlowObserver(obs FlowObserver, mask uint64) {
 }
 
 // observeFlow feeds one sampled packet to the flow observer. The
-// packet's layout cache is warm or warming anyway (classification just
-// parsed it), so FromPacket costs a cache read.
+// packet's flow key is warm (classification just parsed it), so this
+// costs a cache read.
 func (c *Classifier) observeFlow(p *packet.Packet) {
-	if k, err := flow.FromPacket(p); err == nil {
+	if k, err := p.FlowKey(); err == nil {
 		c.flowObs.ObserveFlow(k, c.flowRate, c.flowRate*uint64(p.Len()))
 	}
 }
@@ -214,8 +200,12 @@ func (c *Classifier) midCounter(mid uint32) *telemetry.Counter {
 	return ctr
 }
 
+// classTable is one published rule table: rule i's compiled match is
+// matches[i] and its graph mids[i], kept apart so the walk scans the
+// matches contiguously.
 type classTable struct {
-	rules      []classRule
+	matches    []packet.FlowMatch
+	mids       []uint32
 	defaultMID uint32
 	hasDefault bool
 }
@@ -235,7 +225,8 @@ func (c *Classifier) mutate(fn func(*classTable)) {
 	defer c.mu.Unlock()
 	old := c.loadTable()
 	next := &classTable{
-		rules:      append([]classRule(nil), old.rules...),
+		matches:    append([]packet.FlowMatch(nil), old.matches...),
+		mids:       append([]uint32(nil), old.mids...),
 		defaultMID: old.defaultMID,
 		hasDefault: old.hasDefault,
 	}
@@ -247,7 +238,8 @@ func (c *Classifier) mutate(fn func(*classTable)) {
 // traffic flows.
 func (c *Classifier) AddRule(m Match, mid uint32) {
 	c.mutate(func(t *classTable) {
-		t.rules = append(t.rules, classRule{match: m, mid: mid})
+		t.matches = append(t.matches, m.compile())
+		t.mids = append(t.mids, mid)
 	})
 }
 
@@ -255,7 +247,8 @@ func (c *Classifier) AddRule(m Match, mid uint32) {
 // redirect primitive: it takes effect for matching flows immediately.
 func (c *Classifier) PrependRule(m Match, mid uint32) {
 	c.mutate(func(t *classTable) {
-		t.rules = append([]classRule{{match: m, mid: mid}}, t.rules...)
+		t.matches = append([]packet.FlowMatch{m.compile()}, t.matches...)
+		t.mids = append([]uint32{mid}, t.mids...)
 	})
 }
 
@@ -263,7 +256,7 @@ func (c *Classifier) PrependRule(m Match, mid uint32) {
 // reprogramming).
 func (c *Classifier) Clear() {
 	c.mutate(func(t *classTable) {
-		t.rules = nil
+		t.matches, t.mids = nil, nil
 		t.hasDefault = false
 		t.defaultMID = 0
 	})
@@ -289,20 +282,17 @@ const (
 // the default route is already O(1), and bypassing keeps the no-rules
 // hot path byte-identical to the pre-cache dataplane.
 func (c *Classifier) cacheFor(t *classTable, shard int) *microCache {
-	if c.caches == nil || len(t.rules) == 0 {
+	if c.caches == nil || len(t.mids) == 0 {
 		return nil
 	}
 	return &c.caches[shard]
 }
 
-// scanRules is the slow path: the §5.1 linear first-match walk, then
-// the default route.
+// scanRules is the slow path: the §5.1 linear first-match walk over
+// the compiled matches, then the default route.
 func scanRules(t *classTable, fk packet.FlowKey) (mid uint32, ok, viaDefault bool) {
-	k := flow.FromPacked(fk)
-	for i := range t.rules {
-		if t.rules[i].match.Covers(k) {
-			return t.rules[i].mid, true, false
-		}
+	if i := packet.FirstMatch(t.matches, fk); i >= 0 {
+		return t.mids[i], true, false
 	}
 	if t.hasDefault {
 		return t.defaultMID, true, true
@@ -488,13 +478,9 @@ func (c *Classifier) ClassifyBatchShard(pkts []*packet.Packet, shard int) int {
 }
 
 func (c *Classifier) lookupIn(t *classTable, p *packet.Packet) (mid uint32, ok, viaDefault bool) {
-	if len(t.rules) > 0 {
-		if k, err := flow.FromPacket(p); err == nil {
-			for i := range t.rules {
-				if t.rules[i].match.Covers(k) {
-					return t.rules[i].mid, true, false
-				}
-			}
+	if len(t.mids) > 0 {
+		if fk, err := p.FlowKey(); err == nil {
+			return scanRules(t, fk)
 		}
 	}
 	if t.hasDefault {

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"nfp/internal/flow"
 	"nfp/internal/packet"
 	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/flightrec"
@@ -71,7 +70,7 @@ func (sh *shard) recordDrop(rec *flightrec.Recorder, pr *planRuntime, prov dropP
 	if int(prov.node) >= 0 && int(prov.node) < len(pr.nodeNames) {
 		d.Node = pr.nodeNames[prov.node]
 	}
-	if k, err := flow.FromPacket(pkt); err == nil {
+	if k, err := pkt.FlowKey(); err == nil {
 		d.Flow, d.HasKey = k, true
 	}
 	rec.Drop(d)

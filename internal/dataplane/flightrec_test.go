@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"testing"
+	"time"
 
 	"nfp/internal/faultinject"
 	"nfp/internal/graph"
@@ -124,6 +125,15 @@ func TestDropProvenancePanic(t *testing.T) {
 		if !s.Inject(buildInto(t, s, spec(byte(i%7), uint16(3000+i%13), "chaos"))) {
 			t.Fatal("classification failed")
 		}
+	}
+	// As in the chaos suite: the runtime drains asynchronously, so wait
+	// for the scheduled panic before waiting for recovery — the nodes
+	// read healthy until it fires.
+	for limit := time.Now().Add(5 * time.Second); panicMon.Panicked() == 0; {
+		if time.Now().After(limit) {
+			t.Fatalf("panicked = %d, want 1", panicMon.Panicked())
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	waitHealthy(t, s, 1, 5e9)
 	for i := 0; i < wave; i++ {

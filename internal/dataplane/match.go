@@ -15,7 +15,9 @@ import (
 //	src=<CIDR>  dst=<CIDR>  sport=<port>  dport=<port>  proto=<tcp|udp|0-255>
 //
 // Omitted fields are wildcards; the empty string (or "any") matches
-// everything. The spelling round-trips: ParseMatch(m.Spec()) == m for
+// everything. Prefixes must be IPv4: the dataplane matches IPv4 only,
+// so an IPv6 or IPv4-mapped IPv6 prefix, which could never match, is
+// an error. The spelling round-trips: ParseMatch(m.Spec()) == m for
 // every m ParseMatch produces.
 func ParseMatch(s string) (Match, error) {
 	var m Match
@@ -38,12 +40,15 @@ func ParseMatch(s string) (Match, error) {
 		case "src", "dst":
 			p, err := netip.ParsePrefix(val)
 			if err != nil {
-				// Accept a bare address as a /32 (or /128) host match.
+				// Accept a bare address as a /32 host match.
 				a, aerr := netip.ParseAddr(val)
 				if aerr != nil {
 					return Match{}, fmt.Errorf("dataplane: bad %s prefix %q", key, val)
 				}
 				p = netip.PrefixFrom(a, a.BitLen())
+			}
+			if !p.Addr().Is4() {
+				return Match{}, fmt.Errorf("dataplane: %s prefix %q is not IPv4", key, val)
 			}
 			if key == "src" {
 				m.SrcPrefix = p.Masked()

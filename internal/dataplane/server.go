@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/mempool"
 	"nfp/internal/nf"
@@ -48,7 +47,7 @@ type atomicPlans = atomic.Pointer[map[uint32]*planRuntime]
 // sample rate (pkts = rate, bytes = wire length × rate), so estimates
 // approximate true per-flow totals.
 type FlowObserver interface {
-	ObserveFlow(k flow.Key, pkts, bytes uint64)
+	ObserveFlow(k packet.FlowKey, pkts, bytes uint64)
 }
 
 // Config sizes an NFP server.
@@ -520,7 +519,7 @@ func shardMix(h uint64) uint64 {
 // symmetric 5-tuple hash modulo the shard count, so both directions of
 // a flow — what stateful NFs key their tables by — land on the same
 // shard.
-func (s *Server) ShardOfKey(k flow.Key) int {
+func (s *Server) ShardOfKey(k packet.FlowKey) int {
 	if !s.sharded() {
 		return 0
 	}
@@ -538,7 +537,7 @@ func (s *Server) ShardOf(pkt *packet.Packet) int {
 	if err != nil {
 		return 0
 	}
-	return int(shardMix(fk.SymmetricHash()) % uint64(len(s.shards)))
+	return s.ShardOfKey(fk)
 }
 
 // ShardPool returns shard i's mempool partition (the shared pool when

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"nfp/internal/core"
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
@@ -206,8 +205,8 @@ func TestCopyMergeAppliesLBWrites(t *testing.T) {
 	if len(outs) != 20 {
 		t.Fatalf("outputs = %d", len(outs))
 	}
-	origKey := flow.Key{
-		SrcIP: orig.SrcIP, DstIP: orig.DstIP,
+	origKey := packet.FlowKey{
+		Src: orig.SrcIP.As4(), Dst: orig.DstIP.As4(),
 		SrcPort: orig.SrcPort, DstPort: orig.DstPort, Proto: packet.ProtoTCP,
 	}
 	wantBackend := lb.Backend(origKey)
@@ -480,9 +479,9 @@ func TestNodeRuntimeLookup(t *testing.T) {
 }
 
 func TestClassifierMatchSemantics(t *testing.T) {
-	k := flow.Key{
-		SrcIP:   netip.MustParseAddr("10.0.0.1"),
-		DstIP:   netip.MustParseAddr("192.168.1.1"),
+	k := packet.FlowKey{
+		Src:     [4]byte{10, 0, 0, 1},
+		Dst:     [4]byte{192, 168, 1, 1},
 		SrcPort: 1000, DstPort: 80, Proto: packet.ProtoTCP,
 	}
 	cases := []struct {
@@ -565,8 +564,8 @@ func TestLiveScaleOutWithStateMigration(t *testing.T) {
 	s.Stop()
 	<-done
 
-	k := flow.Key{
-		SrcIP: netip.MustParseAddr("10.0.0.7"), DstIP: netip.MustParseAddr("10.100.0.1"),
+	k := packet.FlowKey{
+		Src: [4]byte{10, 0, 0, 7}, Dst: [4]byte{10, 100, 0, 1},
 		SrcPort: 7777, DstPort: 443, Proto: packet.ProtoTCP,
 	}
 	st, ok := monB.Flow(k)

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"nfp/internal/flow"
 	"nfp/internal/mempool"
 	"nfp/internal/packet"
 	"nfp/internal/ring"
@@ -145,7 +144,7 @@ func (sh *shard) classifyBurst(pkts []*packet.Packet) {
 					Shard: sh.id, Cause: flightrec.CauseUnroutable,
 					Stage: uint8(telemetry.StageClassify), PID: p.Meta.PID,
 				}
-				if k, err := flow.FromPacket(p); err == nil {
+				if k, err := p.FlowKey(); err == nil {
 					d.Flow, d.HasKey = k, true
 				}
 				s.rec.Drop(d)
@@ -352,6 +351,14 @@ func (sh *shard) allocCopy() *packet.Packet {
 	}
 }
 
+// hashPID hashes a packet ID for merger-agent load balancing. §5.3:
+// "the merger agent performs a simple and fast hashing on the
+// immutable PID field". A multiplicative (Fibonacci) hash spreads
+// consecutive PIDs.
+func hashPID(pid uint64) uint64 {
+	return pid * 0x9e3779b97f4a7c15
+}
+
 // deliver sends one packet reference to a target, carrying the span
 // cursor (end timestamp of the packet's previous span, 0 unsampled)
 // into the next stage: ring deliveries stash it for the consumer, join
@@ -376,7 +383,7 @@ func (sh *shard) deliver(pr *planRuntime, t Target, pkt *packet.Packet, dropped 
 		// a reload, old- and new-generation packets of the same MID can
 		// interleave at one merger, and each must finalize against its
 		// own plan tables.
-		m := sh.mergers[flow.HashPID(pkt.Meta.PID)%uint64(len(sh.mergers))]
+		m := sh.mergers[hashPID(pkt.Meta.PID)%uint64(len(sh.mergers))]
 		m.in <- mergeItem{pkt: pkt, pr: pr, join: t.Join, dropped: dropped, prov: prov, cursor: cursor}
 	case ToOutput:
 		if s.tracer.Sampled(pkt.Meta.PID) {

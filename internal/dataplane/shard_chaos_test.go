@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"nfp/internal/faultinject"
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
+	"nfp/internal/packet"
 	"nfp/internal/telemetry"
 )
 
@@ -32,8 +32,8 @@ func shardFlows(s *Server, shard, want int) []int {
 			panic("no flows hash to shard")
 		}
 		sp := shardSpec(id, 0)
-		k := flow.Key{
-			SrcIP: sp.SrcIP, DstIP: sp.DstIP, Proto: sp.Proto,
+		k := packet.FlowKey{
+			Src: sp.SrcIP.As4(), Dst: sp.DstIP.As4(), Proto: sp.Proto,
 			SrcPort: sp.SrcPort, DstPort: sp.DstPort,
 		}
 		if s.ShardOfKey(k) == shard {
@@ -180,6 +180,14 @@ func TestShardIsolationStall(t *testing.T) {
 		if !s.Inject(buildInto(t, s, shardSpec(flowsOf[victim][i%10], i/10))) {
 			t.Fatal("inject failed")
 		}
+	}
+	// Wait until the victim's runtime has picked up a packet and wedged,
+	// so the healthy wave below runs entirely while it is stuck.
+	for limit := time.Now().Add(2 * time.Second); stallMon.Stalled() == 0; {
+		if time.Now().After(limit) {
+			t.Fatal("victim monitor is not actually wedged")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	const healthyWave = 500
 	for i := 0; i < healthyWave; i++ {

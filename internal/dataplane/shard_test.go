@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
@@ -109,7 +108,7 @@ func TestShardFlowAffinity(t *testing.T) {
 
 			// Every flow's packets must all land on the shard its key
 			// hashes to — and on no other shard.
-			seen := make(map[flow.Key]int)
+			seen := make(map[packet.FlowKey]int)
 			var total uint64
 			for sid, m := range monitors {
 				for _, rec := range m.Snapshot() {
@@ -337,5 +336,17 @@ func TestShardPreclassified(t *testing.T) {
 				t.Errorf("preclassified flow %v executed on shard %d, want %d", rec.Key, sid, want)
 			}
 		}
+	}
+}
+
+func TestHashPIDSpreads(t *testing.T) {
+	// Consecutive PIDs must land on different merger instances (mod 2)
+	// reasonably evenly — the §6.3.3 load-balancing requirement.
+	buckets := [2]int{}
+	for pid := uint64(0); pid < 1000; pid++ {
+		buckets[hashPID(pid)%2]++
+	}
+	if buckets[0] < 300 || buckets[1] < 300 {
+		t.Errorf("PID hash badly skewed: %v", buckets)
 	}
 }

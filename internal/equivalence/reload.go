@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"nfp/internal/dataplane"
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/packet"
@@ -88,8 +87,8 @@ func (t *Trial) ExecuteReload(g graph.Node, n int, trafficSeed int64, opts ExecR
 		return nil, err
 	}
 	res := &ShardedRun{
-		FlowDigests:    map[flow.Key]uint64{},
-		FlowCounts:     map[flow.Key]uint64{},
+		FlowDigests:    map[packet.FlowKey]uint64{},
+		FlowCounts:     map[packet.FlowKey]uint64{},
 		ContentDigests: map[string]uint64{},
 		Processed:      map[string]uint64{},
 	}
@@ -97,10 +96,7 @@ func (t *Trial) ExecuteReload(g graph.Node, n int, trafficSeed int64, opts ExecR
 	go func() {
 		defer close(done)
 		for p := range srv.Output() {
-			k, kerr := flow.FromPacket(p)
-			if kerr != nil {
-				k = flow.Key{}
-			}
+			k, _ := p.FlowKey() // the zero key on a parse error
 			h := fnv.New64a()
 			h.Write(p.Bytes())
 			res.FlowDigests[k] += h.Sum64()

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"nfp/internal/dataplane"
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/packet"
@@ -24,8 +23,8 @@ type ShardedRun struct {
 	// FlowDigests sums hash(final packet bytes) per output flow key
 	// (the 5-tuple the packet leaves with), FlowCounts the per-flow
 	// output packet counts — together the "per-flow output digest".
-	FlowDigests map[flow.Key]uint64
-	FlowCounts  map[flow.Key]uint64
+	FlowDigests map[packet.FlowKey]uint64
+	FlowCounts  map[packet.FlowKey]uint64
 	Outputs     uint64
 	Drops       uint64
 	Copies      uint64
@@ -132,8 +131,8 @@ func (t *Trial) ExecuteSharded(g graph.Node, n int, trafficSeed int64, opts Exec
 		return nil, err
 	}
 	res := &ShardedRun{
-		FlowDigests:    map[flow.Key]uint64{},
-		FlowCounts:     map[flow.Key]uint64{},
+		FlowDigests:    map[packet.FlowKey]uint64{},
+		FlowCounts:     map[packet.FlowKey]uint64{},
 		ContentDigests: map[string]uint64{},
 		Processed:      map[string]uint64{},
 	}
@@ -141,10 +140,7 @@ func (t *Trial) ExecuteSharded(g graph.Node, n int, trafficSeed int64, opts Exec
 	go func() {
 		defer close(done)
 		for p := range srv.Output() {
-			k, kerr := flow.FromPacket(p)
-			if kerr != nil {
-				k = flow.Key{}
-			}
+			k, _ := p.FlowKey() // the zero key on a parse error
 			h := fnv.New64a()
 			h.Write(p.Bytes())
 			res.FlowDigests[k] += h.Sum64()
@@ -265,9 +261,9 @@ func CompareSharded(one, sharded *ShardedRun) []string {
 
 // sortedFlowKeys returns the union of both maps' keys in a stable
 // order, so violation lists are deterministic.
-func sortedFlowKeys(a, b map[flow.Key]uint64) []flow.Key {
-	seen := make(map[flow.Key]bool, len(a)+len(b))
-	var keys []flow.Key
+func sortedFlowKeys(a, b map[packet.FlowKey]uint64) []packet.FlowKey {
+	seen := make(map[packet.FlowKey]bool, len(a)+len(b))
+	var keys []packet.FlowKey
 	for k := range a {
 		if !seen[k] {
 			seen[k] = true

@@ -40,13 +40,8 @@ var methodActions = map[string][]nfa.Action{
 	// Structural changes.
 	"InsertAt": {nfa.AddRm(packet.FieldAH)},
 	"RemoveAt": {nfa.AddRm(packet.FieldAH)},
-	// Known helpers that expand to multi-field access: flow.FromPacket
-	// and the packet-carried key accessor it delegates to both read the
-	// whole 5-tuple.
-	"FromPacket": {
-		nfa.Read(packet.FieldSrcIP), nfa.Read(packet.FieldDstIP),
-		nfa.Read(packet.FieldSrcPort), nfa.Read(packet.FieldDstPort),
-	},
+	// Known helpers that expand to multi-field access: the
+	// packet-carried flow key reads the whole 5-tuple.
 	"FlowKey": {
 		nfa.Read(packet.FieldSrcIP), nfa.Read(packet.FieldDstIP),
 		nfa.Read(packet.FieldSrcPort), nfa.Read(packet.FieldDstPort),

@@ -12,8 +12,8 @@ import (
 	"net/netip"
 	"time"
 
-	"nfp/internal/flow"
 	"nfp/internal/nf"
+	"nfp/internal/packet"
 )
 
 // V5 wire geometry.
@@ -149,8 +149,8 @@ func recordsFromSnapshot(snap []nf.FlowRecord, nowMS uint32) []Record {
 	out := make([]Record, 0, len(snap))
 	for _, fr := range snap {
 		out = append(out, Record{
-			SrcAddr: fr.Key.SrcIP,
-			DstAddr: fr.Key.DstIP,
+			SrcAddr: netip.AddrFrom4(fr.Key.Src),
+			DstAddr: netip.AddrFrom4(fr.Key.Dst),
 			Packets: saturate32(fr.Stats.Packets),
 			Octets:  saturate32(fr.Stats.Bytes),
 			FirstMS: 0,
@@ -213,10 +213,11 @@ func Decode(b []byte) (Header, []Record, error) {
 	return h, records, nil
 }
 
-// Key returns the flow key of a decoded record.
-func (r Record) Key() flow.Key {
-	return flow.Key{
-		SrcIP: r.SrcAddr, DstIP: r.DstAddr,
+// Key returns the flow key of a decoded record. NetFlow v5 carries
+// IPv4 addresses only, so the packing is exact.
+func (r Record) Key() packet.FlowKey {
+	return packet.FlowKey{
+		Src: r.SrcAddr.As4(), Dst: r.DstAddr.As4(),
 		SrcPort: r.SrcPort, DstPort: r.DstPort, Proto: r.Proto,
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"nfp/internal/flow"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -81,7 +80,7 @@ func TestProxyRewritesAndStamps(t *testing.T) {
 	}
 	// Proxy-addressed traffic goes to a flow-stable origin with a tag.
 	p := tcpPacket("10.0.0.1", "10.50.0.1", 1000, 80, []byte("GET /page HTTP/1.1"))
-	k, _ := flow.FromPacket(p)
+	k, _ := p.FlowKey()
 	want := x.Origin(k)
 	x.Process(p)
 	if p.DstIP() != want {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/netip"
 
-	"nfp/internal/flow"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -24,7 +23,9 @@ const (
 	Deny
 )
 
-// ACLRule is one 5-tuple filter rule, first-match-wins.
+// ACLRule is one 5-tuple filter rule, first-match-wins. Prefixes match
+// as netip.Prefix.Contains does: an unset, IPv6 or IPv4-mapped prefix
+// covers no IPv4 flow.
 type ACLRule struct {
 	Src, Dst             netip.Prefix
 	SrcPortLo, SrcPortHi uint16 // inclusive; 0,0xffff = any
@@ -33,18 +34,25 @@ type ACLRule struct {
 	Action               ACLAction
 }
 
-// Matches reports whether the rule covers the flow key.
-func (r ACLRule) Matches(k flow.Key) bool {
-	return r.Src.Contains(k.SrcIP) && r.Dst.Contains(k.DstIP) &&
+// header compiles the rule's addresses and protocol to packed FlowKey
+// form, with an unset prefix as a wildcard.
+func (r ACLRule) header() packet.FlowMatch {
+	return packet.NewFlowMatch(r.Src, r.Dst, 0, 0, r.Proto)
+}
+
+// coversRest checks what the header leaves out: the port ranges, and
+// that neither prefix is unset.
+func (r *ACLRule) coversRest(k packet.FlowKey) bool {
+	return r.Src.IsValid() && r.Dst.IsValid() &&
 		k.SrcPort >= r.SrcPortLo && k.SrcPort <= r.SrcPortHi &&
-		k.DstPort >= r.DstPortLo && k.DstPort <= r.DstPortHi &&
-		(r.Proto == 0 || r.Proto == k.Proto)
+		k.DstPort >= r.DstPortLo && k.DstPort <= r.DstPortHi
 }
 
 // Firewall is a stateless packet filter "similar to the Click IPFilter
 // element. It passes or drops packets according to the ACL" (§6.1).
 type Firewall struct {
 	rules   []ACLRule
+	headers []packet.FlowMatch // rules[i]'s header, compiled once
 	def     ACLAction
 	passed  uint64
 	dropped uint64
@@ -57,24 +65,28 @@ func NewFirewall(n int) (*Firewall, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("firewall: negative rule count %d", n)
 	}
-	fw := &Firewall{def: Allow}
 	rng := rand.New(rand.NewSource(0xac1))
-	for i := 0; i < n; i++ {
+	rules := make([]ACLRule, n)
+	for i := range rules {
 		src := netip.AddrFrom4([4]byte{172, byte(16 + rng.Intn(16)), byte(rng.Intn(256)), 0})
 		pfx, _ := src.Prefix(24)
-		fw.rules = append(fw.rules, ACLRule{
+		rules[i] = ACLRule{
 			Src: pfx, Dst: netip.MustParsePrefix("0.0.0.0/0"),
 			SrcPortLo: 0, SrcPortHi: 0xffff,
 			DstPortLo: 0, DstPortHi: 0xffff,
 			Action: Deny,
-		})
+		}
 	}
-	return fw, nil
+	return NewFirewallFromRules(rules, Allow), nil
 }
 
 // NewFirewallFromRules builds a firewall from an explicit ACL.
 func NewFirewallFromRules(rules []ACLRule, def ACLAction) *Firewall {
-	return &Firewall{rules: rules, def: def}
+	fw := &Firewall{rules: rules, headers: make([]packet.FlowMatch, len(rules)), def: def}
+	for i, r := range rules {
+		fw.headers[i] = r.header()
+	}
+	return fw
 }
 
 // Name implements NF.
@@ -83,22 +95,30 @@ func (fw *Firewall) Name() string { return nfa.NFFirewall }
 // Profile implements NF.
 func (fw *Firewall) Profile() nfa.Profile { return profileFor(nfa.NFFirewall) }
 
-// Process walks the ACL first-match-wins.
+// decide walks the ACL first-match-wins: the compiled headers filter,
+// and only a header hit checks the rest of its rule.
+func (fw *Firewall) decide(fk packet.FlowKey) ACLAction {
+	for i := 0; i < len(fw.rules); i++ {
+		j := packet.FirstMatch(fw.headers[i:], fk)
+		if j < 0 {
+			break
+		}
+		i += j
+		if fw.rules[i].coversRest(fk) {
+			return fw.rules[i].Action
+		}
+	}
+	return fw.def
+}
+
+// Process applies the ACL's decision for the packet's flow.
 func (fw *Firewall) Process(p *packet.Packet) Verdict {
 	fk, err := p.FlowKey()
 	if err != nil {
 		fw.dropped++
 		return Drop // unparseable traffic is dropped, like a real filter
 	}
-	k := flow.FromPacked(fk)
-	action := fw.def
-	for i := range fw.rules {
-		if fw.rules[i].Matches(k) {
-			action = fw.rules[i].Action
-			break
-		}
-	}
-	if action == Deny {
+	if fw.decide(fk) == Deny {
 		fw.dropped++
 		return Drop
 	}
@@ -120,17 +140,8 @@ func (fw *Firewall) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
 			verdicts[i] = Drop // unparseable traffic is dropped, like a real filter
 			continue
 		}
-		// Run detection compares packed keys; the ACL walk widens only
-		// at run boundaries.
 		if !haveLast || fk != lastKey {
-			k := flow.FromPacked(fk)
-			lastAction = fw.def
-			for j := range fw.rules {
-				if fw.rules[j].Matches(k) {
-					lastAction = fw.rules[j].Action
-					break
-				}
-			}
+			lastAction = fw.decide(fk)
 			lastKey, haveLast = fk, true
 		}
 		if lastAction == Deny {

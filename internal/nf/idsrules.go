@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"nfp/internal/ahocorasick"
-	"nfp/internal/flow"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -31,27 +30,6 @@ type IDSRule struct {
 	Content []byte
 	Msg     string
 	SID     int
-}
-
-// matchesHeader reports whether the rule's header constraints cover a
-// flow.
-func (r IDSRule) matchesHeader(k flow.Key) bool {
-	if r.Proto != 0 && r.Proto != k.Proto {
-		return false
-	}
-	if r.Src.IsValid() && !r.Src.Contains(k.SrcIP) {
-		return false
-	}
-	if r.Dst.IsValid() && !r.Dst.Contains(k.DstIP) {
-		return false
-	}
-	if r.SrcPort != 0 && r.SrcPort != k.SrcPort {
-		return false
-	}
-	if r.DstPort != 0 && r.DstPort != k.DstPort {
-		return false
-	}
-	return true
 }
 
 // ParseIDSRules reads rules one per line; '#' comments and blank lines
@@ -232,6 +210,7 @@ func parsePort(s string) (uint16, error) {
 // microbenchmarks.
 type RuleIDS struct {
 	rules   []IDSRule
+	headers []packet.FlowMatch // rules[i]'s header, compiled once
 	matcher *ahocorasick.Matcher
 	alerts  []RuleAlert
 	scanned uint64
@@ -247,10 +226,12 @@ type RuleAlert struct {
 // NewRuleIDS builds an IDS from parsed rules.
 func NewRuleIDS(rules []IDSRule) *RuleIDS {
 	patterns := make([][]byte, len(rules))
+	headers := make([]packet.FlowMatch, len(rules))
 	for i, r := range rules {
 		patterns[i] = r.Content
+		headers[i] = packet.NewFlowMatch(r.Src, r.Dst, r.SrcPort, r.DstPort, r.Proto)
 	}
-	return &RuleIDS{rules: rules, matcher: ahocorasick.New(patterns)}
+	return &RuleIDS{rules: rules, headers: headers, matcher: ahocorasick.New(patterns)}
 }
 
 // Name implements NF. The rule IDS presents the inline-IDS profile.
@@ -266,13 +247,12 @@ func (d *RuleIDS) Process(p *packet.Packet) Verdict {
 	if err != nil {
 		return Pass
 	}
-	k := flow.FromPacked(fk)
 	verdict := Pass
 	d.matcher.Match(p.Payload(), func(ruleIdx, _ int) bool {
-		r := &d.rules[ruleIdx]
-		if !r.matchesHeader(k) {
+		if !d.headers[ruleIdx].Matches(fk) {
 			return true
 		}
+		r := &d.rules[ruleIdx]
 		d.alerts = append(d.alerts, RuleAlert{SID: r.SID, Msg: r.Msg, PID: p.Meta.PID})
 		if r.Action == "drop" {
 			verdict = Drop

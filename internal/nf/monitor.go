@@ -3,7 +3,6 @@ package nf
 import (
 	"sort"
 
-	"nfp/internal/flow"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -18,10 +17,8 @@ type FlowStats struct {
 // operator. The counter table uses the hash value of the 5-tuple as
 // the key" (§6.1). It is the canonical read-only NF of the paper's
 // parallelism examples (Figure 1).
-// The counter table is keyed on the packed packet.FlowKey — the
-// packet-carried key classification already computed — so the hot path
-// never widens to netip addresses; the exported API still speaks
-// flow.Key and converts at the edge.
+// The counter table is keyed on the packet-carried packet.FlowKey that
+// classification already computed.
 type Monitor struct {
 	counters map[packet.FlowKey]*FlowStats
 	total    FlowStats
@@ -83,8 +80,8 @@ func (m *Monitor) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
 }
 
 // Flow returns the counters of one flow.
-func (m *Monitor) Flow(k flow.Key) (FlowStats, bool) {
-	st, ok := m.counters[k.Packed()]
+func (m *Monitor) Flow(k packet.FlowKey) (FlowStats, bool) {
+	st, ok := m.counters[k]
 	if !ok {
 		return FlowStats{}, false
 	}
@@ -98,34 +95,24 @@ func (m *Monitor) Total() FlowStats { return m.total }
 func (m *Monitor) FlowCount() int { return len(m.counters) }
 
 // TopFlows returns up to n flows by packet count, descending.
-func (m *Monitor) TopFlows(n int) []flow.Key {
-	type kv struct {
-		k  flow.Key
-		st *FlowStats
-	}
-	all := make([]kv, 0, len(m.counters))
-	for fk, st := range m.counters {
-		all = append(all, kv{flow.FromPacked(fk), st})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].st.Packets != all[j].st.Packets {
-			return all[i].st.Packets > all[j].st.Packets
-		}
-		return all[i].k.String() < all[j].k.String()
+func (m *Monitor) TopFlows(n int) []packet.FlowKey {
+	all := m.Snapshot()
+	sort.SliceStable(all, func(i, j int) bool {
+		return all[i].Stats.Packets > all[j].Stats.Packets
 	})
 	if len(all) > n {
 		all = all[:n]
 	}
-	keys := make([]flow.Key, len(all))
+	keys := make([]packet.FlowKey, len(all))
 	for i := range all {
-		keys[i] = all[i].k
+		keys[i] = all[i].Key
 	}
 	return keys
 }
 
 // FlowRecord pairs a flow key with its counters, for export.
 type FlowRecord struct {
-	Key   flow.Key
+	Key   packet.FlowKey
 	Stats FlowStats
 }
 
@@ -134,7 +121,7 @@ type FlowRecord struct {
 func (m *Monitor) Snapshot() []FlowRecord {
 	out := make([]FlowRecord, 0, len(m.counters))
 	for fk, st := range m.counters {
-		out = append(out, FlowRecord{Key: flow.FromPacked(fk), Stats: *st})
+		out = append(out, FlowRecord{Key: fk, Stats: *st})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return out[i].Key.String() < out[j].Key.String()

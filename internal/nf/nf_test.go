@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"testing"
 
-	"nfp/internal/flow"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -81,7 +80,7 @@ func TestLoadBalancerRewritesAndIsStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := tcpPacket("10.0.0.1", "10.100.0.1", 1234, 80, nil)
-	k, _ := flow.FromPacket(p)
+	k, _ := p.FlowKey()
 	want := lb.Backend(k)
 	lb.Process(p)
 	if p.DstIP() != want {
@@ -291,7 +290,7 @@ func TestMonitorCountsPerFlow(t *testing.T) {
 	}
 	m.Process(tcpPacket("10.0.0.9", "10.0.0.2", 1000, 80, nil))
 
-	k, _ := flow.FromPacket(tcpPacket("10.0.0.1", "10.0.0.2", 1000, 80, nil))
+	k, _ := tcpPacket("10.0.0.1", "10.0.0.2", 1000, 80, nil).FlowKey()
 	st, ok := m.Flow(k)
 	if !ok || st.Packets != 3 {
 		t.Errorf("flow stats = %+v, %v", st, ok)

@@ -3,7 +3,6 @@ package nf
 import (
 	"net/netip"
 
-	"nfp/internal/flow"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -72,7 +71,7 @@ func (x *Proxy) Process(p *packet.Packet) Verdict {
 func (x *Proxy) Self() netip.Addr { return x.self }
 
 // Origin returns the origin an incoming flow maps to.
-func (x *Proxy) Origin(k flow.Key) netip.Addr {
+func (x *Proxy) Origin(k packet.FlowKey) netip.Addr {
 	return x.origins[int(k.Hash()%uint64(len(x.origins)))]
 }
 

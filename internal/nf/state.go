@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"net/netip"
 
-	"nfp/internal/flow"
+	"nfp/internal/packet"
 )
 
 // StatefulNF is implemented by NFs whose internal state can be
@@ -22,15 +23,45 @@ type StatefulNF interface {
 	ImportState([]byte) error
 }
 
+// flowKeyDTO is a flow key's serialized form. Its field names and
+// types are the exported-state wire format, unchanged since state
+// export began.
+type flowKeyDTO struct {
+	SrcIP, DstIP     netip.Addr
+	SrcPort, DstPort uint16
+	Proto            uint8
+}
+
+func toDTO(k packet.FlowKey) flowKeyDTO {
+	return flowKeyDTO{netip.AddrFrom4(k.Src), netip.AddrFrom4(k.Dst), k.SrcPort, k.DstPort, k.Proto}
+}
+
+// key packs d. This dataplane exports IPv4 flows only.
+func (d flowKeyDTO) key() (packet.FlowKey, error) {
+	if !d.SrcIP.Is4() || !d.DstIP.Is4() {
+		return packet.FlowKey{}, fmt.Errorf("flow %s->%s is not IPv4", d.SrcIP, d.DstIP)
+	}
+	return packet.FlowKey{Src: d.SrcIP.As4(), Dst: d.DstIP.As4(), SrcPort: d.SrcPort, DstPort: d.DstPort, Proto: d.Proto}, nil
+}
+
 // monitorState is the Monitor's serialized form.
 type monitorState struct {
-	Flows []FlowRecord
+	Flows []flowRecordDTO
+}
+
+type flowRecordDTO struct {
+	Key   flowKeyDTO
+	Stats FlowStats
 }
 
 // ExportState implements StatefulNF: the full per-flow counter table.
 func (m *Monitor) ExportState() ([]byte, error) {
+	var st monitorState
+	for _, fr := range m.Snapshot() {
+		st.Flows = append(st.Flows, flowRecordDTO{Key: toDTO(fr.Key), Stats: fr.Stats})
+	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(monitorState{Flows: m.Snapshot()}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return nil, fmt.Errorf("monitor: export: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -44,7 +75,10 @@ func (m *Monitor) ImportState(b []byte) error {
 		return fmt.Errorf("monitor: import: %w", err)
 	}
 	for _, fr := range st.Flows {
-		fk := fr.Key.Packed()
+		fk, err := fr.Key.key()
+		if err != nil {
+			return fmt.Errorf("monitor: import: %w", err)
+		}
 		cur := m.counters[fk]
 		if cur == nil {
 			cur = &FlowStats{}
@@ -65,17 +99,15 @@ type natState struct {
 }
 
 type natBindingDTO struct {
-	Flow    flow.Key
+	Flow    flowKeyDTO
 	ExtPort uint16
 }
 
 // ExportState implements StatefulNF: the translation table.
 func (n *NAT) ExportState() ([]byte, error) {
 	st := natState{NextPort: n.nextPort}
-	// The serialized form stays the widened flow.Key so exported state
-	// is readable across versions; the hot-path map is packed.
 	for fk, ext := range n.forward {
-		st.Bindings = append(st.Bindings, natBindingDTO{Flow: flow.FromPacked(fk), ExtPort: ext})
+		st.Bindings = append(st.Bindings, natBindingDTO{Flow: toDTO(fk), ExtPort: ext})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -93,7 +125,10 @@ func (n *NAT) ImportState(b []byte) error {
 		return fmt.Errorf("nat: import: %w", err)
 	}
 	for _, bd := range st.Bindings {
-		fk := bd.Flow.Packed()
+		fk, err := bd.Flow.key()
+		if err != nil {
+			return fmt.Errorf("nat: import: %w", err)
+		}
 		if _, exists := n.forward[fk]; exists {
 			continue
 		}

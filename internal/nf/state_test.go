@@ -3,8 +3,6 @@ package nf
 import (
 	"net/netip"
 	"testing"
-
-	"nfp/internal/flow"
 )
 
 func TestMonitorStateMigration(t *testing.T) {
@@ -21,7 +19,7 @@ func TestMonitorStateMigration(t *testing.T) {
 	if err := Migrate(src, dst); err != nil {
 		t.Fatal(err)
 	}
-	k, _ := flow.FromPacket(tcpPacket("10.0.0.1", "10.0.0.2", 1000, 80, nil))
+	k, _ := tcpPacket("10.0.0.1", "10.0.0.2", 1000, 80, nil).FlowKey()
 	st, ok := dst.Flow(k)
 	if !ok || st.Packets != 4 { // 3 migrated + 1 local
 		t.Errorf("merged counters = %+v, %v", st, ok)

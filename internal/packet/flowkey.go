@@ -1,11 +1,16 @@
 package packet
 
-// FlowKey is the compact, comparable 5-tuple the dataplane's fast path
-// keys on: packed 4-byte IPv4 addresses, host-order ports and the
-// effective L4 protocol (after AH, if present). Unlike flow.Key it
-// holds no netip.Addr, so comparing, hashing and storing it in maps
-// costs plain word operations — the form the classifier's microflow
-// cache, shard selection and per-flow NF tables want on the hot path.
+import (
+	"fmt"
+	"net/netip"
+)
+
+// FlowKey is the dataplane's one 5-tuple: packed 4-byte IPv4
+// addresses, host-order ports and the effective L4 protocol (after AH,
+// if present). It holds no netip.Addr, so comparing, hashing and
+// storing it in maps costs plain word operations — the classifier's
+// rule walk and microflow cache, shard selection, per-flow NF tables,
+// telemetry and the flight recorder all key on it.
 //
 // It is computed at most once per packet and cached on the Packet
 // beside the parsed layout (see Packet.FlowKey).
@@ -15,7 +20,7 @@ type FlowKey struct {
 	Proto            uint8
 }
 
-// FNV-1a constants (the same ones flow.Key has always hashed with).
+// FNV-1a constants.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -23,9 +28,9 @@ const (
 
 // Hash returns the 64-bit FNV-1a hash of the 5-tuple. The byte order
 // (src, dst, sport, dport, proto — ports big-endian) and the fully
-// unrolled mixing are bit-identical to the historical flow.Key.Hash
-// closure loop, so ECMP backend choice and shard assignment are
-// unchanged; flow_test.go pins the values.
+// unrolled mixing are bit-identical to the historical closure-loop
+// FNV-1a, so ECMP backend choice and shard assignment never move;
+// flowkey_golden_test.go pins the values.
 func (k FlowKey) Hash() uint64 {
 	h := uint64(fnvOffset)
 	h = (h ^ uint64(k.Src[0])) * fnvPrime
@@ -55,13 +60,20 @@ func (k FlowKey) Reverse() FlowKey {
 
 // SymmetricHash returns a direction-independent hash — A->B and B->A
 // map to the same value — by combining the ordered pair of the two
-// directional hashes. Bit-identical to flow.Key.SymmetricHash.
+// directional hashes.
 func (k FlowKey) SymmetricHash() uint64 {
 	a, b := k.Hash(), k.Reverse().Hash()
 	if a > b {
 		a, b = b, a
 	}
 	return a*fnvPrime ^ b
+}
+
+// String renders the key as src:sport->dst:dport/proto, for example
+// "10.1.2.3:5000->10.4.5.6:53/17".
+func (k FlowKey) String() string {
+	return fmt.Sprintf("%s:%d->%s:%d/%d",
+		netip.AddrFrom4(k.Src), k.SrcPort, netip.AddrFrom4(k.Dst), k.DstPort, k.Proto)
 }
 
 // FlowKey returns the packet's packed 5-tuple. Parse computes and

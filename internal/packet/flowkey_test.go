@@ -3,6 +3,7 @@ package packet
 import (
 	"net/netip"
 	"testing"
+	"testing/quick"
 )
 
 func buildTCP(t *testing.T) *Packet {
@@ -183,5 +184,88 @@ func TestFlowKeyHashAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm FlowKey+Hash allocates %.1f per run, want 0", allocs)
+	}
+}
+
+func TestFlowKeyFromPacket(t *testing.T) {
+	p := Build(BuildSpec{
+		SrcIP:   netip.MustParseAddr("10.1.2.3"),
+		DstIP:   netip.MustParseAddr("10.4.5.6"),
+		Proto:   ProtoUDP,
+		SrcPort: 5000, DstPort: 53, Size: 80,
+	})
+	k, err := p.FlowKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := key("10.1.2.3", "10.4.5.6", 5000, 53, ProtoUDP)
+	if k != want {
+		t.Errorf("got %v, want %v", k, want)
+	}
+}
+
+func TestFlowKeyFromPacketError(t *testing.T) {
+	if _, err := New(make([]byte, 4)).FlowKey(); err == nil {
+		t.Error("no error for truncated packet")
+	}
+}
+
+func TestFlowKeyReverseTuple(t *testing.T) {
+	k := key("1.1.1.1", "2.2.2.2", 10, 20, 6)
+	r := k.Reverse()
+	if r != key("2.2.2.2", "1.1.1.1", 20, 10, 6) {
+		t.Errorf("reverse = %v", r)
+	}
+	if r.Reverse() != k {
+		t.Error("double reverse is not identity")
+	}
+}
+
+func TestHashDistinguishesFlows(t *testing.T) {
+	a := key("1.1.1.1", "2.2.2.2", 10, 20, 6)
+	variants := []FlowKey{
+		key("1.1.1.2", "2.2.2.2", 10, 20, 6),
+		key("1.1.1.1", "2.2.2.3", 10, 20, 6),
+		key("1.1.1.1", "2.2.2.2", 11, 20, 6),
+		key("1.1.1.1", "2.2.2.2", 10, 21, 6),
+		key("1.1.1.1", "2.2.2.2", 10, 20, 17),
+	}
+	for _, v := range variants {
+		if v.Hash() == a.Hash() {
+			t.Errorf("hash collision between %v and %v", a, v)
+		}
+	}
+	if a.Hash() != a.Hash() {
+		t.Error("hash not deterministic")
+	}
+}
+
+func TestSymmetricHash(t *testing.T) {
+	f := func(a1, a2, b1, b2 byte, sp, dp uint16) bool {
+		k := FlowKey{
+			Src: [4]byte{10, a1, a2, 1}, Dst: [4]byte{10, b1, b2, 2},
+			SrcPort: sp, DstPort: dp, Proto: 6,
+		}
+		return k.SymmetricHash() == k.Reverse().SymmetricHash()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlowKeyString pins the rendering that map-order tie-breaks
+// (diagnose top flows, monitor snapshots, equivalence reports) sort by.
+func TestFlowKeyString(t *testing.T) {
+	for _, c := range []struct {
+		k    FlowKey
+		want string
+	}{
+		{key("1.2.3.4", "5.6.7.8", 1, 2, 6), "1.2.3.4:1->5.6.7.8:2/6"},
+		{key("10.1.2.3", "10.4.5.6", 5000, 53, ProtoUDP), "10.1.2.3:5000->10.4.5.6:53/17"},
+		{FlowKey{}, "0.0.0.0:0->0.0.0.0:0/0"},
+	} {
+		if got := c.k.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
 	}
 }

@@ -5,18 +5,17 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/netip"
 	"testing"
 	"time"
 
-	"nfp/internal/flow"
+	"nfp/internal/packet"
 	"nfp/internal/telemetry"
 )
 
-func fkey(i int) flow.Key {
-	return flow.Key{
-		SrcIP:   netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}),
-		DstIP:   netip.AddrFrom4([4]byte{192, 168, 0, 1}),
+func fkey(i int) packet.FlowKey {
+	return packet.FlowKey{
+		Src:     [4]byte{10, 0, byte(i >> 8), byte(i)},
+		Dst:     [4]byte{192, 168, 0, 1},
 		SrcPort: uint16(1000 + i), DstPort: 80, Proto: 6,
 	}
 }
@@ -42,6 +41,26 @@ func TestTopKExactBelowCapacity(t *testing.T) {
 	}
 	if rep.TotalPkts != 10 || rep.TotalBytes != 1000 {
 		t.Fatalf("totals: got %d pkts %d bytes, want 10/1000", rep.TotalPkts, rep.TotalBytes)
+	}
+}
+
+// TestTopFlowsJSON pins the /debug/topflows document byte for byte,
+// including the tie-break: equal counts order by the flow key's string.
+func TestTopFlowsJSON(t *testing.T) {
+	tk := NewTopK(4)
+	tk.ObserveFlow(fkey(2), 3, 300)
+	tk.ObserveFlow(fkey(300), 5, 900)
+	tk.ObserveFlow(fkey(1), 3, 200)
+	got, err := json.Marshal(tk.Top(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"k":4,"total_pkts":11,"total_bytes":1400,"error_bound_pkts":2,"flows":[` +
+		`{"src":"10.0.1.44:1300","dst":"192.168.0.1:80","proto":6,"pkts":5,"bytes":900,"max_overcount_pkts":0,"max_overcount_bytes":0,"guaranteed":true},` +
+		`{"src":"10.0.0.1:1001","dst":"192.168.0.1:80","proto":6,"pkts":3,"bytes":200,"max_overcount_pkts":0,"max_overcount_bytes":0,"guaranteed":true},` +
+		`{"src":"10.0.0.2:1002","dst":"192.168.0.1:80","proto":6,"pkts":3,"bytes":300,"max_overcount_pkts":0,"max_overcount_bytes":0,"guaranteed":true}]}`
+	if string(got) != want {
+		t.Fatalf("/debug/topflows JSON:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 	"nfp/internal/dataplane"
 	"nfp/internal/experiments"
 	"nfp/internal/faultinject"
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
+	"nfp/internal/packet"
 	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/diagnose"
 	"nfp/internal/trafficgen"
@@ -117,12 +117,12 @@ func TestZipfElephantsInTopKWithinBounds(t *testing.T) {
 	}
 
 	// Recount the truth by replaying the identical generator sequence.
-	truth := map[flow.Key]uint64{}
+	truth := map[packet.FlowKey]uint64{}
 	replay := trafficgen.New(trafficgen.Config{Flows: flows, Seed: seed, Zipf: 1.4})
-	var heaviest flow.Key
+	var heaviest packet.FlowKey
 	for i := 0; i < n; i++ {
 		s := replay.Next()
-		key := flow.Key{SrcIP: s.SrcIP, DstIP: s.DstIP, SrcPort: s.SrcPort, DstPort: s.DstPort, Proto: s.Proto}
+		key := packet.FlowKey{Src: s.SrcIP.As4(), Dst: s.DstIP.As4(), SrcPort: s.SrcPort, DstPort: s.DstPort, Proto: s.Proto}
 		truth[key]++
 		if truth[key] > truth[heaviest] {
 			heaviest = key

@@ -2,10 +2,11 @@ package diagnose
 
 import (
 	"container/heap"
+	"net/netip"
 	"sort"
 	"sync"
 
-	"nfp/internal/flow"
+	"nfp/internal/packet"
 )
 
 // TopK is a Space-Saving top-k heavy-hitter sketch (Metwally et al.,
@@ -25,7 +26,7 @@ import (
 type TopK struct {
 	mu         sync.Mutex
 	k          int
-	entries    map[flow.Key]*ssEntry
+	entries    map[packet.FlowKey]*ssEntry
 	heap       ssHeap // min-heap by Pkts: the eviction candidate is O(1) away
 	totalPkts  uint64
 	totalBytes uint64
@@ -33,7 +34,7 @@ type TopK struct {
 
 // ssEntry is one monitored flow.
 type ssEntry struct {
-	key   flow.Key
+	key   packet.FlowKey
 	pkts  uint64
 	bytes uint64
 	// overPkts/overBytes are the counts inherited from the evicted
@@ -58,7 +59,7 @@ func NewTopK(k int) *TopK {
 	if k < 1 {
 		k = 1
 	}
-	return &TopK{k: k, entries: make(map[flow.Key]*ssEntry, k)}
+	return &TopK{k: k, entries: make(map[packet.FlowKey]*ssEntry, k)}
 }
 
 // K returns the sketch capacity.
@@ -67,7 +68,7 @@ func (t *TopK) K() int { return t.k }
 // ObserveFlow implements the dataplane's FlowObserver hook: credit pkts
 // packets and bytes bytes to flow key. Callers subsampling the stream
 // pass pre-scaled counts (pkts = sample rate).
-func (t *TopK) ObserveFlow(k flow.Key, pkts, bytes uint64) {
+func (t *TopK) ObserveFlow(k packet.FlowKey, pkts, bytes uint64) {
 	t.mu.Lock()
 	t.totalPkts += pkts
 	t.totalBytes += bytes
@@ -115,7 +116,7 @@ type FlowCount struct {
 	Guaranteed bool `json:"guaranteed"`
 
 	// Key is the structured 5-tuple (not serialized; Src/Dst carry it).
-	Key flow.Key `json:"-"`
+	Key packet.FlowKey `json:"-"`
 }
 
 // TopFlowsReport is the /debug/topflows document.
@@ -156,8 +157,8 @@ func (t *TopK) Top(n int) TopFlowsReport {
 	}
 	for _, e := range all {
 		rep.Flows = append(rep.Flows, FlowCount{
-			Src:        srcString(e.key),
-			Dst:        dstString(e.key),
+			Src:        netip.AddrPortFrom(netip.AddrFrom4(e.key.Src), e.key.SrcPort).String(),
+			Dst:        netip.AddrPortFrom(netip.AddrFrom4(e.key.Dst), e.key.DstPort).String(),
 			Proto:      e.key.Proto,
 			Pkts:       e.pkts,
 			Bytes:      e.bytes,
@@ -173,30 +174,8 @@ func (t *TopK) Top(n int) TopFlowsReport {
 // Reset clears the sketch (counts, entries and totals).
 func (t *TopK) Reset() {
 	t.mu.Lock()
-	t.entries = make(map[flow.Key]*ssEntry, t.k)
+	t.entries = make(map[packet.FlowKey]*ssEntry, t.k)
 	t.heap = t.heap[:0]
 	t.totalPkts, t.totalBytes = 0, 0
 	t.mu.Unlock()
-}
-
-func srcString(k flow.Key) string {
-	return k.SrcIP.String() + ":" + itoa(k.SrcPort)
-}
-
-func dstString(k flow.Key) string {
-	return k.DstIP.String() + ":" + itoa(k.DstPort)
-}
-
-func itoa(v uint16) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [5]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nfp/internal/flow"
+	"nfp/internal/packet"
 )
 
 // Kind is the event-ring record type.
@@ -83,7 +83,7 @@ type DropRecord struct {
 	Node   uint32 // interned NF name of the drop's origin node
 	PID    uint64
 	Cursor int64 // span cursor (ns) — how far along its path it was
-	Flow   flow.Key
+	Flow   packet.FlowKey
 	HasKey bool
 }
 
@@ -226,9 +226,8 @@ func (r *Recorder) Drop(d DropRecord) {
 	e[1] = word1(KindDrop, d.Cause, d.Stage, d.Shard, d.Gen)
 	e[2] = uint64(d.Node)
 	e[3] = d.PID
-	if d.HasKey && d.Flow.SrcIP.Is4() && d.Flow.DstIP.Is4() {
-		src, dst := d.Flow.SrcIP.As4(), d.Flow.DstIP.As4()
-		e[4] = uint64(be32(src))<<32 | uint64(be32(dst))
+	if d.HasKey {
+		e[4] = uint64(be32(d.Flow.Src))<<32 | uint64(be32(d.Flow.Dst))
 		e[5] = uint64(d.Flow.SrcPort)<<48 | uint64(d.Flow.DstPort)<<32 |
 			uint64(d.Flow.Proto)<<24 | 1 // low bit: flow present
 	}

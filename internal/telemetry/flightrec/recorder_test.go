@@ -1,11 +1,10 @@
 package flightrec
 
 import (
-	"net/netip"
 	"sync"
 	"testing"
 
-	"nfp/internal/flow"
+	"nfp/internal/packet"
 )
 
 // TestRecorderNilSafe: every method must no-op on a nil receiver so
@@ -40,8 +39,8 @@ func TestRecorderDropDecode(t *testing.T) {
 	r.Drop(DropRecord{
 		Shard: 1, Cause: CausePanic, Stage: 3, Gen: 7, Node: node,
 		PID: 12345, Cursor: 999,
-		Flow: flow.Key{
-			SrcIP: netip.MustParseAddr("10.1.2.3"), DstIP: netip.MustParseAddr("10.4.5.6"),
+		Flow: packet.FlowKey{
+			Src: [4]byte{10, 1, 2, 3}, Dst: [4]byte{10, 4, 5, 6},
 			SrcPort: 4242, DstPort: 80, Proto: 6,
 		},
 		HasKey: true,
