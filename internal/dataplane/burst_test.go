@@ -21,8 +21,6 @@ import (
 // before the NF touches them. The digest is an order-independent XOR
 // of per-packet hashes keyed by (nf, PID, version, bytes), so two runs
 // are comparable even when bursts reorder goroutine interleavings.
-// obsNF deliberately does NOT implement BatchProcessor: wrapped in it,
-// an NF runs its scalar Process path.
 type obsNF struct {
 	inner  nf.NF
 	digest uint64
@@ -43,21 +41,6 @@ func (o *obsNF) observe(p *packet.Packet) {
 func (o *obsNF) Process(p *packet.Packet) nf.Verdict {
 	o.observe(p)
 	return o.inner.Process(p)
-}
-
-// obsBatchNF adds the batch capability on top of obsNF: it observes
-// every packet of the burst, then hands the whole burst to the inner
-// NF (its ProcessBatch when implemented, scalar fallback otherwise).
-// Differential runs wrap NFs in obsNF at burst=1 and obsBatchNF at
-// burst=32, so the comparison pits each NF's scalar implementation
-// against its batched one end to end.
-type obsBatchNF struct{ *obsNF }
-
-func (o *obsBatchNF) ProcessBatch(pkts []*packet.Packet, verdicts []nf.Verdict) {
-	for _, p := range pkts {
-		o.observe(p)
-	}
-	nf.ProcessAll(o.inner, pkts, verdicts)
 }
 
 // mkBurstNF instantiates the real evaluation NFs used by the
@@ -184,11 +167,7 @@ func runBurstChain(t *testing.T, chain []string, g graph.Node, n, burst int, fus
 	for _, name := range chain {
 		oc := &obsNF{inner: mkBurstNF(t, name)}
 		obs[name] = oc
-		if burst > 1 {
-			instances[nfn(name, 0)] = &obsBatchNF{oc}
-		} else {
-			instances[nfn(name, 0)] = oc
-		}
+		instances[nfn(name, 0)] = oc
 	}
 	s := New(Config{PoolSize: 1024, Mergers: 2, Burst: burst, Fusion: fusion})
 	if err := s.AddGraphInstances(1, g, instances); err != nil {
@@ -256,9 +235,9 @@ func diffBurstRuns(scalar, burst *burstRun) []string {
 // TestBurstDifferentialExampleGraphs is the differential correctness
 // harness of the burst fast path: every example chain — compiled both
 // sequentially and with NFP parallelization — is replayed with
-// identical traffic at burst=1 (scalar NF implementations, scalar
-// inject) and burst=32 (batched alloc/classify/process/merge, batched
-// NF implementations). The two executions must be observationally
+// identical traffic at burst=1 (scalar inject, one packet per runtime
+// burst) and burst=32 (batched alloc/classify/process/merge). The two
+// executions must be observationally
 // identical: same per-NF observation digests and packet counts, same
 // final output bytes per PID, same drop intent, same copy count.
 func TestBurstDifferentialExampleGraphs(t *testing.T) {

@@ -66,7 +66,7 @@ func (s *segNF) inst() nf.NF { return s.instP.Load().nf }
 // the next hop is a single NF.
 //
 // The runtime is also the crash boundary, now scoped to the whole
-// segment: Process/ProcessBatch run under panic recovery, so a faulty
+// segment: Process runs under panic recovery, so a faulty
 // NF loses (at most) the burst it was processing — every in-flight
 // packet of the panicked burst is routed through that NF's drop path
 // back to the pool — and the segment is marked unhealthy for the
@@ -153,7 +153,10 @@ func (n *nodeRT) invoke(s *segNF, pkts []*packet.Packet) (ok bool) {
 			ok = false
 		}
 	}()
-	nf.ProcessAll(s.inst(), pkts, n.verdicts)
+	inst := s.inst()
+	for i, p := range pkts {
+		n.verdicts[i] = inst.Process(p)
+	}
 	return true
 }
 

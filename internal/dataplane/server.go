@@ -277,8 +277,8 @@ type planRuntime struct {
 	// recorder, so per-drop events carry an integer, not a string.
 	nodeNames []uint32
 
-	// gen is the config generation that installed this runtime (1 for
-	// the initial install; each Reload bumps the server generation).
+	// gen is the config generation that installed this runtime (an
+	// install joins the live generation; each Reload bumps it).
 	// spanGen is the TraceEvent.Gen tag: gen for reloaded generations,
 	// 0 for generation 1 so pre-reload trace output stays
 	// byte-identical (the field is omitempty).
@@ -314,12 +314,11 @@ type Server struct {
 	cfg        Config
 	pool       *mempool.Pool
 	classifier Classifier
-	plansMu    sync.Mutex // serializes graph installation
-	// reloadMu serializes Reload against other Reloads AND against
-	// Stop: a Stop that lands mid-reload waits for the reload to finish
-	// draining the outgoing generation, then drains the incoming one —
-	// both generations drain, never neither (the Stop-vs-inflight
-	// ordering hazard).
+	// reloadMu serializes every install and reload (apply) against each
+	// other, against Start, and against Stop: a Stop that lands
+	// mid-reload waits for the reload to finish draining the outgoing
+	// generation, then drains the incoming one — both generations
+	// drain, never neither (the Stop-vs-inflight ordering hazard).
 	reloadMu sync.Mutex
 	shards   []*shard
 	// out is the fan-in output channel (nil when Config.ShardedOutputs
@@ -550,7 +549,7 @@ func (s *Server) ShardPool(i int) *mempool.Pool { return s.shards[i].pool }
 // per shard, so per-flow NF state stays shard-local. The first
 // installed graph becomes the classifier default.
 func (s *Server) AddGraph(mid uint32, g graph.Node) error {
-	return s.AddGraphProvide(mid, g, nil)
+	return s.apply(mid, g, nil, false)
 }
 
 // AddGraphInstances installs a graph using the provided NF instances
@@ -562,7 +561,7 @@ func (s *Server) AddGraphInstances(mid uint32, g graph.Node, instances map[graph
 	if instances != nil && s.sharded() {
 		return fmt.Errorf("dataplane: AddGraphInstances with explicit instances requires Shards=1 (a shared instance would cross shards); use AddGraphProvide")
 	}
-	return s.AddGraphProvide(mid, g, func(_ int, n graph.NF) nf.NF { return instances[n] })
+	return s.apply(mid, g, func(_ int, n graph.NF) nf.NF { return instances[n] }, false)
 }
 
 // AddGraphProvide installs a graph with per-shard NF instances:
@@ -573,9 +572,55 @@ func (s *Server) AddGraphInstances(mid uint32, g graph.Node, instances map[graph
 // Installation is allowed while the server runs — the §7 elasticity
 // path ("we could simply create a new instance ... and modify the
 // forwarding table to redirect some flows to the new instance"): the
-// new graph's NF runtimes start immediately, and classifier rules can
-// then redirect flows to the new MID with zero packet loss.
+// new graph's NF runtimes start before they are published, and
+// classifier rules can then redirect flows to the new MID with zero
+// packet loss.
 func (s *Server) AddGraphProvide(mid uint32, g graph.Node, provide func(shard int, node graph.NF) nf.NF) error {
+	return s.apply(mid, g, provide, false)
+}
+
+// Reload hot-swaps the service graph installed under mid for a freshly
+// compiled one with zero packet loss (see apply for the protocol). It
+// may be called while traffic flows (that is the point) and from any
+// goroutine. The NF instances of the new generation come fresh from
+// the registry — reloading is a policy swap, not a state migration.
+func (s *Server) Reload(mid uint32, g graph.Node) error {
+	return s.apply(mid, g, nil, true)
+}
+
+// ReloadProvide is Reload with per-shard NF instance injection, the
+// reload analog of AddGraphProvide (tests and state-migration layers
+// use it to hand the new generation pre-built instances).
+func (s *Server) ReloadProvide(mid uint32, g graph.Node, provide func(shard int, node graph.NF) nf.NF) error {
+	return s.apply(mid, g, provide, true)
+}
+
+// apply runs the config-generation protocol for mid. An install
+// (replace false) is the protocol run from an empty predecessor: it
+// joins the live generation, and has nothing to seal, drain or retire.
+// A replace (Reload) advances the generation:
+//
+//  1. compile g to a new Plan and build per-shard runtimes (rings,
+//     fused segments, NF instances, generation-labelled telemetry)
+//     entirely beside the live graph;
+//  2. start them if the server is started, then COW-publish each
+//     shard's dispatch map — packets classified after the publish
+//     execute on the new runtimes, while in-flight packets keep their
+//     generation's runtime pointer all the way through rings, mergers
+//     and drop routes;
+//  3. seal the predecessor (acquire retries against the successor) and
+//     drain it: wait until its in-flight count reaches zero, so every
+//     old-generation packet has surfaced as an output or a drop;
+//  4. retire it: its goroutines exit, its crash counters roll up into
+//     the server totals, and its drain is recorded on
+//     nfp_reload_drained_total{gen=<old>} and in ConfigInfo.
+//
+// apply holds reloadMu throughout, so installs, reloads, Start and Stop
+// serialize: Start never walks the plans while a runtime set is being
+// started or published.
+func (s *Server) apply(mid uint32, g graph.Node, provide func(shard int, node graph.NF) nf.NF, replace bool) error {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
 	if s.stopped.Load() {
 		return fmt.Errorf("dataplane: server stopped")
 	}
@@ -583,52 +628,112 @@ func (s *Server) AddGraphProvide(mid uint32, g graph.Node, provide func(shard in
 	if err != nil {
 		return err
 	}
-
-	s.plansMu.Lock()
-	if _, dup := (*s.shards[0].plans.Load())[mid]; dup {
-		s.plansMu.Unlock()
+	var old []*planRuntime
+	for _, sh := range s.shards {
+		if pr := (*sh.plans.Load())[mid]; pr != nil {
+			old = append(old, pr)
+		}
+	}
+	if replace && len(old) == 0 {
+		return fmt.Errorf("dataplane: MID %d not installed (use AddGraph)", mid)
+	}
+	if !replace && len(old) > 0 {
 		return fmt.Errorf("dataplane: MID %d already installed", mid)
 	}
 	gen := s.generation.Load()
+	if replace {
+		gen++
+	}
 	prs := make([]*planRuntime, len(s.shards))
 	for i, sh := range s.shards {
-		pr, err := s.buildRuntime(sh, plan, provide, gen)
-		if err != nil {
-			s.plansMu.Unlock()
+		if prs[i], err = s.buildRuntime(sh, plan, provide, gen); err != nil {
 			return err
 		}
-		prs[i] = pr
 	}
-	var installed int
-	for i, sh := range s.shards {
-		old := *sh.plans.Load()
-		next := make(map[uint32]*planRuntime, len(old)+1)
-		for k, v := range old {
-			next[k] = v
-		}
-		next[mid] = prs[i]
-		sh.plans.Store(&next)
-		installed = len(next)
-	}
-	first := installed == 1
-	started := s.started.Load()
-	s.plansMu.Unlock()
 
-	if first {
-		s.classifier.SetDefault(mid)
-	}
-	if started {
+	// Stand the new runtimes up before any packet can reach them.
+	if s.started.Load() {
 		for _, pr := range prs {
 			s.startRuntimes(pr)
 		}
 	}
-	s.recordGeneration(GenerationInfo{
-		Generation:  gen,
-		MID:         mid,
-		Hash:        plan.CompileHash(),
-		InstalledNS: time.Now().UnixNano(),
-	})
-	s.note(flightrec.KindInstall, gen, 0, uint64(mid))
+
+	// Snapshot the predecessor's completion meter before the publish so
+	// the drain counter covers everything that finishes after it.
+	var preTerm uint64
+	for _, pr := range old {
+		preTerm += pr.terminal.Load()
+	}
+	for i, sh := range s.shards {
+		cur := *sh.plans.Load()
+		next := make(map[uint32]*planRuntime, len(cur)+1)
+		for k, v := range cur {
+			next[k] = v
+		}
+		next[mid] = prs[i]
+		sh.plans.Store(&next)
+	}
+	gi := GenerationInfo{Generation: gen, MID: mid, Hash: plan.CompileHash(), InstalledNS: time.Now().UnixNano()}
+	if !replace {
+		if len(*s.shards[0].plans.Load()) == 1 {
+			s.classifier.SetDefault(mid)
+		}
+		s.recordGeneration(gi)
+		s.note(flightrec.KindInstall, gen, 0, uint64(mid))
+		return nil
+	}
+	s.generation.Store(gen)
+	// A config-generation swap may retarget MIDs wholesale; expire every
+	// microflow cache line so no packet rides a pre-swap classification.
+	s.classifier.InvalidateCache()
+	s.genG.Set(int64(gen))
+	s.reloadsC.Inc()
+	s.note(flightrec.KindReloadSwap, gen, 0, 0)
+	gi.SwappedNS = gi.InstalledNS
+
+	// Seal: acquire's increment-then-check handshake guarantees that
+	// once gone is visible, no injector can add to the predecessor's
+	// inflight without observing the seal and retrying against the
+	// successor published above.
+	for _, pr := range old {
+		pr.gone.Store(true)
+	}
+	// Drain: wait for every old-generation packet to reach its terminal
+	// output/drop event. Like Stop, this requires the output consumer
+	// to keep draining.
+	w := ring.Waiter{SpinLimit: s.cfg.SpinLimit}
+	for {
+		var inflight int64
+		for _, pr := range old {
+			inflight += pr.inflight.Load()
+		}
+		if inflight == 0 {
+			break
+		}
+		w.Wait()
+	}
+	// Retire: runtimes exit (rings are provably empty), crash counters
+	// roll up so Stats stays cumulative, and the event is recorded.
+	for _, pr := range old {
+		pr.retired.Store(true)
+		gi.Drained += pr.terminal.Load()
+		for _, n := range pr.rts {
+			for i := range n.nfs {
+				s.retiredPanics.Add(n.nfs[i].panics.Value())
+				s.retiredRestarts.Add(n.nfs[i].restarts.Value())
+			}
+		}
+	}
+	for _, pr := range old {
+		pr.wg.Wait() // a no-op for runtimes that never started
+	}
+	gi.Drained -= preTerm
+	gi.DrainNS = time.Now().UnixNano() - gi.SwappedNS
+	oldGen := old[0].gen
+	s.tel.Counter("nfp_reload_drained_total",
+		telemetry.L("gen", strconv.FormatUint(oldGen, 10))).Add(gi.Drained)
+	s.note(flightrec.KindReloadDrained, oldGen, 0, gi.Drained)
+	s.recordGeneration(gi)
 	return nil
 }
 
@@ -743,162 +848,6 @@ func (s *Server) startRuntimes(pr *planRuntime) {
 	}
 }
 
-// Reload hot-swaps the service graph installed under mid for a freshly
-// compiled one with zero packet loss — the config-generation protocol:
-//
-//  1. compile g to a new Plan and build per-shard runtimes (rings,
-//     fused segments, NF instances, generation-labelled telemetry) for
-//     the next generation, entirely beside the live one;
-//  2. start the new runtimes, then atomically swap each shard's
-//     dispatch map entry (COW, like every plans update) — packets
-//     classified after the swap execute on the new generation, while
-//     in-flight packets keep their generation's runtime pointer all
-//     the way through rings, mergers and drop routes;
-//  3. seal the old generation (acquire retries against the successor)
-//     and drain it: wait until its in-flight count reaches zero, so
-//     every old-generation packet has surfaced as an output or a drop;
-//  4. retire it: its goroutines exit, its crash counters roll up into
-//     the server totals, and its drain is recorded on
-//     nfp_reload_drained_total{gen=<old>} and in ConfigInfo.
-//
-// Reload may be called while traffic flows (that is the point) and
-// from any goroutine; concurrent Reloads and Stop serialize on
-// reloadMu. The NF instances of the new generation come fresh from the
-// registry — reloading is a policy swap, not a state migration.
-func (s *Server) Reload(mid uint32, g graph.Node) error {
-	return s.ReloadProvide(mid, g, nil)
-}
-
-// ReloadProvide is Reload with per-shard NF instance injection, the
-// reload analog of AddGraphProvide (tests and state-migration layers
-// use it to hand the new generation pre-built instances).
-func (s *Server) ReloadProvide(mid uint32, g graph.Node, provide func(shard int, node graph.NF) nf.NF) error {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	if s.stopped.Load() {
-		return fmt.Errorf("dataplane: server stopped")
-	}
-	plan, err := CompilePlan(mid, g)
-	if err != nil {
-		return err
-	}
-
-	// Build the next generation beside the live one.
-	s.plansMu.Lock()
-	old := make([]*planRuntime, len(s.shards))
-	for i, sh := range s.shards {
-		old[i] = (*sh.plans.Load())[mid]
-	}
-	if old[0] == nil {
-		s.plansMu.Unlock()
-		return fmt.Errorf("dataplane: MID %d not installed (use AddGraph)", mid)
-	}
-	nextGen := s.generation.Load() + 1
-	prs := make([]*planRuntime, len(s.shards))
-	for i, sh := range s.shards {
-		pr, err := s.buildRuntime(sh, plan, provide, nextGen)
-		if err != nil {
-			s.plansMu.Unlock()
-			return err
-		}
-		prs[i] = pr
-	}
-	started := s.started.Load()
-	s.plansMu.Unlock()
-
-	// Stand the new generation up before any packet can reach it.
-	if started {
-		for _, pr := range prs {
-			s.startRuntimes(pr)
-		}
-	}
-
-	// Snapshot the old generation's completion meter before the swap so
-	// the drain counter covers everything that finishes after it.
-	var preTerm uint64
-	for _, pr := range old {
-		preTerm += pr.terminal.Load()
-	}
-
-	// Atomic dispatch-table swap, per shard.
-	s.plansMu.Lock()
-	for i, sh := range s.shards {
-		cur := *sh.plans.Load()
-		next := make(map[uint32]*planRuntime, len(cur))
-		for k, v := range cur {
-			next[k] = v
-		}
-		next[mid] = prs[i]
-		sh.plans.Store(&next)
-	}
-	s.generation.Store(nextGen)
-	s.plansMu.Unlock()
-	// A config-generation swap may retarget MIDs wholesale; expire every
-	// microflow cache line so no packet rides a pre-swap classification.
-	s.classifier.InvalidateCache()
-	s.genG.Set(int64(nextGen))
-	s.reloadsC.Inc()
-	s.note(flightrec.KindReloadSwap, nextGen, 0, 0)
-	swapNS := time.Now().UnixNano()
-
-	// Seal the old generation: acquire's increment-then-check handshake
-	// guarantees that once gone is visible, no injector can add to its
-	// inflight without observing the seal and retrying against the
-	// successor published above.
-	for _, pr := range old {
-		pr.gone.Store(true)
-	}
-
-	// Drain: wait for every old-generation packet to reach its terminal
-	// output/drop event. Like Stop, this requires the output consumer
-	// to keep draining.
-	w := ring.Waiter{SpinLimit: s.cfg.SpinLimit}
-	for {
-		var inflight int64
-		for _, pr := range old {
-			inflight += pr.inflight.Load()
-		}
-		if inflight == 0 {
-			break
-		}
-		w.Wait()
-	}
-
-	// Retire: runtimes exit (rings are provably empty), crash counters
-	// roll up so Stats stays cumulative, and the event is recorded.
-	var drained uint64
-	for _, pr := range old {
-		pr.retired.Store(true)
-		drained += pr.terminal.Load()
-		for _, n := range pr.rts {
-			for i := range n.nfs {
-				s.retiredPanics.Add(n.nfs[i].panics.Value())
-				s.retiredRestarts.Add(n.nfs[i].restarts.Value())
-			}
-		}
-	}
-	drained -= preTerm
-	if started {
-		for _, pr := range old {
-			pr.wg.Wait()
-		}
-	}
-	oldGen := old[0].gen
-	s.tel.Counter("nfp_reload_drained_total",
-		telemetry.L("gen", strconv.FormatUint(oldGen, 10))).Add(drained)
-	s.note(flightrec.KindReloadDrained, oldGen, 0, drained)
-	s.recordGeneration(GenerationInfo{
-		Generation:  nextGen,
-		MID:         mid,
-		Hash:        plan.CompileHash(),
-		InstalledNS: swapNS,
-		SwappedNS:   swapNS,
-		DrainNS:     time.Now().UnixNano() - swapNS,
-		Drained:     drained,
-	})
-	return nil
-}
-
 // GenerationInfo records one config install/reload event for
 // /debug/config.
 type GenerationInfo struct {
@@ -912,7 +861,7 @@ type GenerationInfo struct {
 	// InstalledNS is when the runtimes were built (unix nanoseconds).
 	InstalledNS int64 `json:"installed_ns"`
 	// SwappedNS is when the dispatch tables swapped to this generation
-	// (0 for the initial install, which was never swapped in live).
+	// (0 for an install, which joins the live generation).
 	SwappedNS int64 `json:"swapped_ns,omitempty"`
 	// DrainNS is how long draining the previous generation took after
 	// the swap, and Drained how many of its in-flight packets completed
@@ -996,8 +945,12 @@ func (s *Server) Outputs() []<-chan *packet.Packet {
 }
 
 // Start launches every NF runtime, merger, and (when sharded) shard
-// classifier loop.
+// classifier loop. It serializes with apply, so every installed runtime
+// is started exactly once: by Start if it was published before, by
+// apply if after.
 func (s *Server) Start() error {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
 	if len(*s.shards[0].plans.Load()) == 0 {
 		return fmt.Errorf("dataplane: no graphs installed")
 	}

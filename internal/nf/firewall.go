@@ -126,33 +126,5 @@ func (fw *Firewall) Process(p *packet.Packet) Verdict {
 	return Pass
 }
 
-// ProcessBatch implements BatchProcessor. The firewall is stateless
-// per packet, so consecutive packets of one flow (bursts are bursty by
-// nature) reuse the previous ACL walk's decision.
-func (fw *Firewall) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
-	var lastKey packet.FlowKey
-	var lastAction ACLAction
-	haveLast := false
-	for i, p := range pkts {
-		fk, err := p.FlowKey()
-		if err != nil {
-			fw.dropped++
-			verdicts[i] = Drop // unparseable traffic is dropped, like a real filter
-			continue
-		}
-		if !haveLast || fk != lastKey {
-			lastAction = fw.decide(fk)
-			lastKey, haveLast = fk, true
-		}
-		if lastAction == Deny {
-			fw.dropped++
-			verdicts[i] = Drop
-			continue
-		}
-		fw.passed++
-		verdicts[i] = Pass
-	}
-}
-
 // Stats returns (passed, dropped) packet counts.
 func (fw *Firewall) Stats() (passed, dropped uint64) { return fw.passed, fw.dropped }

@@ -73,30 +73,5 @@ func (f *L3Forwarder) Process(p *packet.Packet) Verdict {
 	return Pass
 }
 
-// ProcessBatch implements BatchProcessor: one pass over the burst with
-// the last destination's LPM result cached, so runs of same-destination
-// packets (the common case inside a burst) cost one table walk.
-func (f *L3Forwarder) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
-	var lastAddr uint32
-	var lastOK, haveLast bool
-	for i, p := range pkts {
-		verdicts[i] = Pass
-		if err := p.Parse(); err != nil {
-			f.misses++
-			continue
-		}
-		b := p.FieldBytes(packet.FieldDstIP)
-		addr := binary.BigEndian.Uint32(b)
-		if !haveLast || addr != lastAddr {
-			_, lastOK = f.table.LookupUint(addr)
-			lastAddr, haveLast = addr, true
-		}
-		if !lastOK {
-			f.misses++
-		}
-		f.lookups++
-	}
-}
-
 // Lookups returns the number of successful table consultations.
 func (f *L3Forwarder) Lookups() uint64 { return f.lookups }

@@ -61,30 +61,6 @@ func (lb *LoadBalancer) Process(p *packet.Packet) Verdict {
 	return Pass
 }
 
-// ProcessBatch implements BatchProcessor: the ECMP hash of a repeated
-// flow key is computed once per run of identical keys; the address
-// rewrite and checksum refresh still happen per packet (each packet has
-// its own buffer).
-func (lb *LoadBalancer) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
-	var lastKey packet.FlowKey
-	lastIdx := -1
-	for i, p := range pkts {
-		verdicts[i] = Pass
-		fk, err := p.FlowKey()
-		if err != nil {
-			continue
-		}
-		if lastIdx < 0 || fk != lastKey {
-			lastIdx = int(fk.Hash() % uint64(len(lb.backends)))
-			lastKey = fk
-		}
-		lb.counts[lastIdx]++
-		p.SetDstIP(lb.backends[lastIdx])
-		p.SetSrcIP(lb.vip)
-		p.UpdateL4Checksum() // address rewrite invalidates the TCP/UDP checksum
-	}
-}
-
 // Backend returns the backend a flow key maps to (for tests and for
 // verifying ECMP stability).
 func (lb *LoadBalancer) Backend(k packet.FlowKey) netip.Addr {

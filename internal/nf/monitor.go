@@ -53,32 +53,6 @@ func (m *Monitor) Process(p *packet.Packet) Verdict {
 	return Pass
 }
 
-// ProcessBatch implements BatchProcessor: one map lookup per run of
-// same-flow packets instead of one per packet.
-func (m *Monitor) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
-	var lastKey packet.FlowKey
-	var lastStats *FlowStats
-	for i, p := range pkts {
-		verdicts[i] = Pass
-		fk, err := p.FlowKey()
-		if err != nil {
-			continue
-		}
-		if lastStats == nil || fk != lastKey {
-			st := m.counters[fk]
-			if st == nil {
-				st = &FlowStats{}
-				m.counters[fk] = st
-			}
-			lastKey, lastStats = fk, st
-		}
-		lastStats.Packets++
-		lastStats.Bytes += uint64(p.Len())
-		m.total.Packets++
-		m.total.Bytes += uint64(p.Len())
-	}
-}
-
 // Flow returns the counters of one flow.
 func (m *Monitor) Flow(k packet.FlowKey) (FlowStats, bool) {
 	st, ok := m.counters[k]

@@ -48,31 +48,6 @@ type NF interface {
 	Process(p *packet.Packet) Verdict
 }
 
-// BatchProcessor is an optional NF capability: implementations process
-// a whole burst of packets per call, amortizing per-packet dispatch
-// overhead the way DPDK NFs amortize rte_ring synchronization over
-// 32-packet bursts. ProcessBatch must be observationally identical to
-// len(pkts) sequential Process calls — verdicts[i] receives pkts[i]'s
-// verdict, internal state must end up exactly as the scalar loop would
-// leave it. The runtime guarantees len(verdicts) >= len(pkts).
-type BatchProcessor interface {
-	ProcessBatch(pkts []*packet.Packet, verdicts []Verdict)
-}
-
-// ProcessAll drives one burst through an NF: the batched path when the
-// NF implements BatchProcessor, otherwise the scalar fallback loop.
-// This is the single entry point NF runtimes use, so burst=1 and
-// burst=32 run the same code shape.
-func ProcessAll(n NF, pkts []*packet.Packet, verdicts []Verdict) {
-	if bp, ok := n.(BatchProcessor); ok {
-		bp.ProcessBatch(pkts, verdicts)
-		return
-	}
-	for i, p := range pkts {
-		verdicts[i] = n.Process(p)
-	}
-}
-
 // Factory constructs a fresh NF instance. Every instance must be
 // independent (own state), mirroring per-container NF deployment.
 type Factory func() (NF, error)
